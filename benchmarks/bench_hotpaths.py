@@ -18,7 +18,8 @@ root):
   decode + plan build + multiply, plan retention on), *warm* (every
   later request: retained plan, no decode, no rebuild), and
   *no-cache* (plan retention off — the pre-retention serving cost,
-  paid on every request);
+  paid on every request); plus the warm ``k = 64`` panel latency for
+  ``right`` and ``left``;
 - **obs_overhead** — the tracing-off cost of the ``repro.obs``
   instrumentation on the warm MVM path: the same warm multiply bare
   vs wrapped in the serve layer's ``span("multiply.kernel", ...)``
@@ -31,9 +32,10 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_hotpaths.py            # full
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick    # CI smoke
 
-``--check-baseline PATH`` compares the measured warm latencies against
-a previously committed run and exits non-zero when any regresses by
-more than ``--tolerance`` (default 2x) — the CI perf-smoke gate.
+``--check-baseline PATH`` compares the measured warm latencies (k = 1,
+and the k = 64 panels) against a previously committed run and exits
+non-zero when any regresses by more than ``--tolerance`` (default 2x)
+— the CI perf-smoke gate.
 """
 
 from __future__ import annotations
@@ -61,6 +63,17 @@ FULL_PROFILES = (("census", 5000), ("airline78", 6000), ("mnist2m", 5000))
 QUICK_PROFILES = (("census", 400),)
 
 SCHEMA = "bench_hotpaths/v1"
+
+#: Panel width of the warm panel rows (the serving benchmark's k).
+PANEL_K = 64
+
+#: Per-variant multiply keys gated by ``--check-baseline`` (a key absent
+#: from the baseline is not gated).
+GATED_MULTIPLY_KEYS = (
+    "warm_seconds",
+    "warm_right_k64_seconds",
+    "warm_left_k64_seconds",
+)
 
 #: Cold-start store profiles: (n_matrices, rows, cols).  Full mode
 #: builds a multi-hundred-MB store (24 dense payloads of ~12 MB plus a
@@ -100,9 +113,12 @@ def bench_compress(seq: np.ndarray, dense_bytes: int, values, shape) -> dict:
 
 
 def bench_multiply(grammar, values, shape, warm_iters: int, cold_reps: int) -> dict:
-    """Cold/warm/no-cache single-vector MVM latency per grammar variant."""
+    """Cold/warm/no-cache single-vector MVM latency per grammar variant,
+    and the warm k=64 right/left panel latency."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal(shape[1])
+    x_panel = rng.standard_normal((shape[1], PANEL_K))
+    y_panel = rng.standard_normal((shape[0], PANEL_K))
     results = {}
     for variant in VARIANTS:
         matrix = GrammarCompressedMatrix.from_grammar(grammar, values, shape, variant)
@@ -132,9 +148,19 @@ def bench_multiply(grammar, values, shape, warm_iters: int, cold_reps: int) -> d
             _time_once(lambda: matrix.right_multiply(x))[0]
             for _ in range(warm_iters)
         )
+        right64 = median(
+            _time_once(lambda: matrix.right_multiply_matrix(x_panel))[0]
+            for _ in range(warm_iters)
+        )
+        left64 = median(
+            _time_once(lambda: matrix.left_multiply_matrix(y_panel))[0]
+            for _ in range(warm_iters)
+        )
         results[variant] = {
             "cold_seconds": cold,
             "warm_seconds": warm,
+            "warm_right_k64_seconds": right64,
+            "warm_left_k64_seconds": left64,
             "nocache_seconds": nocache,
             "warm_vs_cold": cold / warm,
             "warm_vs_nocache": nocache / warm,
@@ -285,7 +311,9 @@ def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
                 f"  {variant}: cold {1e3 * m['cold_seconds']:.3f}ms, "
                 f"warm {1e3 * m['warm_seconds']:.3f}ms "
                 f"(x{m['warm_vs_cold']:.1f} vs cold, "
-                f"x{m['warm_vs_nocache']:.1f} vs no-cache)"
+                f"x{m['warm_vs_nocache']:.1f} vs no-cache); k={PANEL_K} "
+                f"right {1e3 * m['warm_right_k64_seconds']:.3f}ms, "
+                f"left {1e3 * m['warm_left_k64_seconds']:.3f}ms"
             )
     if cold_start is not None:
         cs = bench_cold_start(*cold_start)
@@ -348,13 +376,14 @@ def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> int:
             if cur is None:
                 failures.append(f"{name}/{variant}: missing from current run")
                 continue
-            limit = tolerance * base_m["warm_seconds"]
-            if cur["warm_seconds"] > limit:
-                failures.append(
-                    f"{name}/{variant}: warm {1e3 * cur['warm_seconds']:.3f}ms "
-                    f"> {tolerance:g}x baseline "
-                    f"{1e3 * base_m['warm_seconds']:.3f}ms"
-                )
+            for key in GATED_MULTIPLY_KEYS:
+                if key not in base_m:
+                    continue
+                if cur[key] > tolerance * base_m[key]:
+                    failures.append(
+                        f"{name}/{variant}: {key} {1e3 * cur[key]:.3f}ms "
+                        f"> {tolerance:g}x baseline {1e3 * base_m[key]:.3f}ms"
+                    )
     base_cold = baseline.get("cold_start")
     cur_cold = report.get("cold_start")
     if base_cold and cur_cold:

@@ -13,7 +13,11 @@ format it times
 
 and reports both as vectors/second plus the speedup ratio.  The
 grammar-compressed variants are where batching matters most: the
-engine build and storage decode amortise over the whole panel.
+engine build and storage decode amortise over the whole panel.  Every
+format must hold the invariant *batched ≤ looped* (in time, up to
+:data:`BATCHED_SLACK`): script mode exits 1 and
+``test_batched_not_slower_than_looped`` fails when a format's panel
+kernel loses to ``k`` single MVMs.
 
 ``pytest benchmarks/bench_serve_throughput.py --benchmark-only`` times
 the two paths; running as a script prints the full table for every
@@ -49,6 +53,10 @@ DATASETS = ("census", "covtype")
 
 #: Formats compared; ``blocked`` uses per-block auto format selection.
 FORMATS = ("dense", "csrv", "re_32", "re_iv", "re_ans", "blocked", "cla")
+
+#: Timing noise allowed by the batched ≤ looped check: a format whose
+#: panel kernel is the per-column fallback (``cla``) ties with looped.
+BATCHED_SLACK = 1.1
 
 
 def build(matrix: np.ndarray, fmt: str):
@@ -108,6 +116,15 @@ def test_batched_panel(benchmark, fmt):
     assert result.shape == (matrix.shape[0], K_VECTORS)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_batched_not_slower_than_looped(fmt):
+    matrix = bench_matrix("census")
+    m = measure(build(matrix, fmt), _panel(matrix))
+    assert m["speedup"] * BATCHED_SLACK >= 1.0, (
+        f"{fmt}: batched is {m['speedup']:.2f}x looped"
+    )
+
+
 @pytest.mark.parametrize("fmt", ("re_32", "re_iv", "re_ans"))
 def test_looped_baseline(benchmark, fmt):
     matrix = bench_matrix("census")
@@ -121,6 +138,7 @@ def test_looped_baseline(benchmark, fmt):
 
 
 def main() -> int:
+    slower = []
     for name in DATASETS:
         matrix = bench_matrix(name)
         panel = _panel(matrix)
@@ -128,6 +146,8 @@ def main() -> int:
         for fmt in FORMATS:
             compressed = build(matrix, fmt)
             m = measure(compressed, panel)
+            if m["speedup"] * BATCHED_SLACK < 1.0:
+                slower.append(f"{name}/{fmt}: batched {m['speedup']:.2f}x looped")
             rows.append(
                 [
                     fmt,
@@ -147,7 +167,9 @@ def main() -> int:
             )
         )
         print()
-    return 0
+    for line in slower:
+        print("batched slower than looped:", line, file=sys.stderr)
+    return 1 if slower else 0
 
 
 if __name__ == "__main__":

@@ -347,25 +347,6 @@ class CSRVMatrix(MatrixFormat):
         return blocks
 
 
-def group_scatter_add(
-    out: np.ndarray, sorted_index: np.ndarray, contrib: np.ndarray
-) -> None:
-    """``out[sorted_index] += contrib`` rows, for *non-decreasing* indices.
-
-    ``S`` lists a matrix row-major, so the row index of every pair
-    occurrence comes out already sorted; the same holds for the final
-    string of a grammar.  Equal indices then form contiguous runs,
-    which turns the scatter into a segment sum: one
-    ``np.add.reduceat`` over the run starts instead of the buffered
-    element-at-a-time ``np.add.at`` — the difference between the
-    batched panel kernel being scatter-bound and memory-bound.
-    """
-    if not sorted_index.size:
-        return
-    targets, starts = np.unique(sorted_index, return_index=True)
-    out[targets] += np.add.reduceat(contrib, starts, axis=0)
-
-
 def _check_permutation(order, m: int) -> np.ndarray:
     """Validate ``order`` as a permutation of ``range(m)`` (or identity)."""
     if order is None:

@@ -296,7 +296,7 @@ class GrammarCompressedMatrix(MatrixFormat):
         :class:`~repro.core.multiply.MvmPlan` once — through the shared
         fingerprint-keyed :func:`plan_cache`, so a reloaded copy of the
         same matrix skips even the first build — and every subsequent
-        multiplication runs without storage decode or schedule rebuild.
+        multiplication runs without storage decode or plan rebuild.
         With retention off (the default), they rebuild per call,
         charging the decode cost per multiplication exactly as the
         paper describes.  ``re_32`` always caches its engine (its
@@ -333,7 +333,7 @@ class GrammarCompressedMatrix(MatrixFormat):
     # -- multiplication ----------------------------------------------------------------
 
     def _get_engine(self) -> MvmEngine:
-        """Return an executable schedule for this block.
+        """Return the executable operator chain for this block.
 
         ``re_32`` caches the engine (its storage is already the decoded
         working form).  ``re_iv``/``re_ans`` rebuild it from a fresh
@@ -389,7 +389,7 @@ class GrammarCompressedMatrix(MatrixFormat):
         engine = self._get_engine()
 
         def kernel(panel: np.ndarray, out: np.ndarray) -> None:
-            out[:] = engine.left_multi(self._values, panel)
+            engine.left_multi(self._values, panel, out=out)
 
         return kernel
 
@@ -420,14 +420,18 @@ class GrammarCompressedMatrix(MatrixFormat):
         """Live bytes a *served* instance keeps beyond its payload.
 
         A served ``re_32`` block always caches its multiplication
-        engine (≈ one int64 per symbol of ``C`` and six per rule).
-        ``re_iv``/``re_ans`` charge the same schedule estimate once
+        engine: the plan's CSR arrays plus the filled ``V[ℓ]`` data.
+        ``re_iv``/``re_ans`` charge the same once
         :meth:`enable_plan_retention` is on — the serving registry's
         byte budget then reflects the retained plan — and 0 otherwise
-        (rebuild per call, nothing kept).  The estimate is intentionally
-        build-independent so residency accounting does not change
-        between registration and first multiplication.
+        (rebuild per call, nothing kept).  The charge is the build-free
+        upper bound :meth:`MvmPlan.engine_nbytes_bound`, so residency
+        accounting does not change between registration and first
+        multiplication.
         """
         if self._variant == "re_32" or self._retain_plan:
-            return 8 * (self._c_length + 6 * self._n_rules)
+            return MvmPlan.engine_nbytes_bound(
+                self._shape[0], self._shape[1], self._n_rules,
+                self._c_length, self._nt_base,
+            )
         return 0

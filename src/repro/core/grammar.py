@@ -233,17 +233,16 @@ class Grammar:
         q = self.n_rules
         if q == 0:
             return np.zeros(0, dtype=np.int64)
-        a, b = self.rules[:, 0], self.rules[:, 1]
-        a_ref = np.where(a >= self.nt_base, a - self.nt_base, -1)
-        b_ref = np.where(b >= self.nt_base, b - self.nt_base, -1)
-        level = np.ones(q, dtype=np.int64)
+        # Children index into [0, level...]: slot 0 is every terminal.
+        refs = np.where(self.rules >= self.nt_base, self.rules - self.nt_base + 1, 0)
+        a_ref, b_ref = refs[:, 0], refs[:, 1]
+        ext = np.zeros(q + 1, dtype=np.int64)
+        ext[1:] = 1
         while True:
-            la = np.where(a_ref >= 0, level[np.maximum(a_ref, 0)], 0)
-            lb = np.where(b_ref >= 0, level[np.maximum(b_ref, 0)], 0)
-            new = 1 + np.maximum(la, lb)
-            if np.array_equal(new, level):
-                return level
-            level = new
+            new = 1 + np.maximum(ext[a_ref], ext[b_ref])
+            if np.array_equal(new, ext[1:]):
+                return new
+            ext[1:] = new
 
     @property
     def depth(self) -> int:

@@ -1,40 +1,51 @@
-"""Level-scheduled matrix-vector multiplication over SLP grammars.
+"""Grammar MVM as a level-ordered chain of sparse operators.
 
-This module implements Theorems 3.4 (right multiplication) and 3.10
-(left multiplication) of the paper.  Both theorems evaluate an auxiliary
-array ``W[1..q]`` over the rules:
+This module implements Theorems 3.4 (right multiplication, ``y = Mx``)
+and 3.10 (left multiplication, ``xᵗ = yᵗM``) of the paper.  Both
+theorems evaluate an auxiliary array ``W[1..q]`` over the rules, one
+derivation level at a time: a rule's entry is a sum over its two
+children, where a terminal child ``⟨ℓ,j⟩`` contributes ``V[ℓ]·x[j]``
+and a nonterminal child its own ``W`` entry.  Every level is therefore
+a *linear* update of ``W``, and the whole evaluation is a product of
+sparse operators.
 
-- **right** (``y = Mx``): ``W[i] = eval_x(N_i)`` is filled bottom-up; a
-  rule's value is the sum of its two children's values, where a terminal
-  child ``⟨ℓ,j⟩`` contributes ``V[ℓ]·x[j]`` and a nonterminal child
-  contributes its (already computed) ``W`` entry.  A final scan of ``C``
-  accumulates per-row results.
-- **left** (``xᵗ = yᵗM``): ``W[i] = sum_y(N_i)`` is seeded from the
-  occurrences of nonterminals in ``C`` and propagated top-down by a
-  backward scan of the rules; terminal children ``⟨ℓ,j⟩`` flush
-  ``V[ℓ]·W`` into ``x[j]``.
+:class:`MvmPlan` renumbers the rules by derivation level, so level
+``l`` owns the contiguous block ``W[lo_l:hi_l]``, and splits the
+grammar into four value-free CSR structures:
 
-The paper's C prototype walks the rules one by one.  A per-symbol Python
-loop would dominate the runtime (the calibration notes flag exactly
-this), so this module replaces the sequential scan with a *level
-schedule*: rules are grouped by derivation height, and all rules of one
-level are evaluated with numpy gathers/scatters.  The evaluation order
-within the DAG is identical to the theorems' (children strictly before
-parents for right, parents strictly before children for left), so the
-computed values are exactly the same sums.
+- ``T`` (q×m): the terminal children of each rule; the data slot holds
+  the value index ``ℓ``;
+- ``N`` (q×q): the nonterminal children.  A child sits on a strictly
+  lower level than its parent, so ``N`` is strictly lower-triangular
+  and level ``l`` reads only the row block ``N_l = N[lo:hi, :lo]``;
+- ``Ct`` (n×m) and ``Cn`` (n×q): the terminal and nonterminal
+  occurrences in the final string ``C``, one row per matrix row.
 
-:class:`MvmPlan` packages the precomputed schedule — the level slices
-plus the decomposed final string — as an immutable, grammar-independent
-value object; :class:`MvmEngine` executes a plan against the value
-array and operand vectors.  Building a plan costs
-``O(|C| + |R| · depth / vector-width)``, which is cheap enough to be
-redone per multiplication — how the ``re_iv``/``re_ans`` variants
-account for their decode overhead by default (see
+:class:`MvmEngine` fills the data of ``T``/``Ct`` with ``V[ℓ]`` once and
+runs the chain:
+
+- **right**: ``W = T X``; bottom-up ``W[lo:hi] += N_l W[:lo]``;
+  ``Y = Ct X + Cn W``;
+- **left**: ``W = Cnᵀ Y``; top-down ``W[:lo] += N_lᵀ W[lo:hi]``;
+  ``X = Ctᵀ Y + Tᵀ W``.
+
+The evaluation order is the theorems' (children strictly before parents
+for right, parents strictly before children for left), so the computed
+values are the same sums.  Each product is one call into scipy's
+compiled CSR kernels, which accumulate into a slice of ``W`` or of the
+output in place; a transposed product reads the CSR arrays of ``A`` as
+the CSC arrays of ``Aᵀ``, so no transpose is stored.  A vector and a
+panel of ``k`` vectors run the same code, with no ``(nnz × k)``
+temporaries.
+
+Building a plan costs ``O(|C| + |R| · depth / vector-width)``, which is
+cheap enough to be redone per multiplication — how the ``re_iv``/
+``re_ans`` variants account for their decode overhead by default (see
 :mod:`repro.core.gcm`) — but pure waste on a serving path that
 multiplies the same matrix thousands of times.  Served matrices
 therefore opt into *plan retention*: plans are cached in a
 :class:`PlanCache` keyed by a grammar fingerprint, so repeated
-multiplications skip both the storage decode and the schedule rebuild
+multiplications skip both the storage decode and the plan rebuild
 (see ``BENCH_hotpaths.json`` for the cold/warm gap this buys).
 """
 
@@ -46,99 +57,182 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.csrv import ROW_SEPARATOR, group_scatter_add
+# The compiled kernels behind scipy's CSR/CSC products.  Called
+# directly, they accumulate ``y += A x`` into an existing (sliced)
+# array and take an ``indptr`` slice as a row block, so a level product
+# needs neither a sparse-matrix object nor a temporary.
+from scipy.sparse import _sparsetools
+
+from repro.core.csrv import ROW_SEPARATOR
 from repro.core.grammar import Grammar
 from repro.errors import MatrixFormatError
 
 
 @dataclass(frozen=True)
-class _LevelSlice:
-    """Precomputed gather indices for all rules of one derivation level.
+class _Csr:
+    """The arrays of one CSR structure (row count = ``indptr.size - 1``).
 
-    For side ``A`` (and symmetrically ``B``) of the rules in ``rule_idx``:
-    ``term_sel``/``nt_sel`` partition positions into terminal and
-    nonterminal children; terminals are pre-split into their
-    ``(ℓ, j)`` components, nonterminals into rule references.
+    ``data`` holds the value index ``ℓ`` for the terminal structures and
+    the child multiplicity (1.0) for the nonterminal ones.
     """
 
-    rule_idx: np.ndarray
-    a_term_sel: np.ndarray
-    a_term_l: np.ndarray
-    a_term_j: np.ndarray
-    a_nt_sel: np.ndarray
-    a_nt_ref: np.ndarray
-    b_term_sel: np.ndarray
-    b_term_l: np.ndarray
-    b_term_j: np.ndarray
-    b_nt_sel: np.ndarray
-    b_nt_ref: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.indptr.nbytes + self.indices.nbytes + self.data.nbytes)
+
+
+def _index_dtype(*sizes: int) -> type:
+    """int32 indices when every size fits, else int64."""
+    return np.int32 if max(sizes, default=0) < 2**31 else np.int64
 
 
 @dataclass(frozen=True)
 class MvmPlan:
-    """The reusable part of a multiplication: schedule + decomposition.
+    """The reusable part of a multiplication: the level-ordered operators.
 
-    A plan is derived purely from ``(grammar, n_cols)`` and holds no
-    reference to the grammar arrays, so it can outlive the decode that
-    produced it: a served ``re_iv``/``re_ans`` block that retains its
-    plan skips both the storage decode and the schedule rebuild on
-    every multiplication after the first (see
+    A plan is derived purely from ``(grammar, n_cols)`` and holds
+    neither the grammar arrays nor the values ``V``, so it can outlive
+    the decode that produced it and be shared by every matrix with the
+    same grammar: a served ``re_iv``/``re_ans`` block that retains its
+    plan skips both the storage decode and the plan rebuild on every
+    multiplication after the first (see
     :meth:`repro.core.gcm.GrammarCompressedMatrix.enable_plan_retention`
     and :class:`PlanCache`).
+
+    ``level_bounds[l]`` is where level ``l + 1`` starts in the
+    renumbered rules (``level_bounds[-1] == n_rules``).
     """
 
     n_cols: int
     n_rows: int
     n_rules: int
-    levels: tuple[_LevelSlice, ...]
-    c_rows_term: np.ndarray
-    c_term_l: np.ndarray
-    c_term_j: np.ndarray
-    c_rows_nt: np.ndarray
-    c_nt_ref: np.ndarray
+    level_bounds: tuple[int, ...]
+    t: _Csr
+    n: _Csr
+    ct: _Csr
+    cn: _Csr
 
     @classmethod
     def from_grammar(cls, grammar: Grammar, n_cols: int) -> MvmPlan:
-        """Build the level schedule and final-string decomposition."""
+        """Renumber the rules by level and build the four structures."""
         n_cols = int(n_cols)
-        c_parts = _decompose_final(grammar, n_cols)
+        q, nt_base, c = grammar.n_rules, grammar.nt_base, grammar.final
+        row_ends = np.flatnonzero(c == ROW_SEPARATOR)
+        entries = 2 * q + c.size - row_ends.size
+        idx = _index_dtype(row_ends.size, n_cols, q, nt_base, entries)
+        levels = grammar.rule_levels()
+        depth = int(levels.max()) if q else 0
+        # Stable argsort of 16-bit keys is a radix sort.
+        order = np.argsort(
+            levels.astype(np.uint16) if depth < 2**16 else levels, kind="stable"
+        )
+        rank = np.empty(q, dtype=idx)
+        rank[order] = np.arange(q, dtype=idx)
+        bounds = np.searchsorted(levels[order], np.arange(depth + 1), side="right")
+        t, nt = _split_children(
+            grammar.rules[order].ravel(), np.arange(2, 2 * q + 1, 2),
+            nt_base, n_cols, rank, idx,
+        )
+        ct, cn = _split_children(c, row_ends, nt_base, n_cols, rank, idx)
         return cls(
             n_cols=n_cols,
-            n_rows=grammar.n_rows,
-            n_rules=grammar.n_rules,
-            levels=tuple(_build_level_slices(grammar, n_cols)),
-            c_rows_term=c_parts[0],
-            c_term_l=c_parts[1],
-            c_term_j=c_parts[2],
-            c_rows_nt=c_parts[3],
-            c_nt_ref=c_parts[4],
+            n_rows=int(row_ends.size),
+            n_rules=q,
+            level_bounds=tuple(int(b) for b in bounds),
+            t=t,
+            n=nt,
+            ct=ct,
+            cn=cn,
         )
 
     @property
     def nbytes(self) -> int:
-        """Bytes held live by the plan's index arrays (cache accounting)."""
-        total = (
-            self.c_rows_term.nbytes
-            + self.c_term_l.nbytes
-            + self.c_term_j.nbytes
-            + self.c_rows_nt.nbytes
-            + self.c_nt_ref.nbytes
+        """Bytes held live by the plan's CSR arrays (cache accounting)."""
+        return self.t.nbytes + self.n.nbytes + self.ct.nbytes + self.cn.nbytes
+
+    @staticmethod
+    def engine_nbytes_bound(
+        n_rows: int, n_cols: int, n_rules: int, c_length: int, nt_base: int
+    ) -> int:
+        """Upper bound on a plan plus its engine's filled values, no build.
+
+        Every rule has two children and every non-separator symbol of
+        ``C`` is one entry.  An entry costs its column index, plus the
+        value index ``ℓ`` and the filled ``V[ℓ]`` for a terminal or the
+        multiplicity for a nonterminal; each structure adds
+        ``rows + 1`` row pointers.
+        """
+        entries = 2 * n_rules + max(c_length - n_rows, 0)
+        s = np.dtype(_index_dtype(n_rows, n_cols, n_rules, nt_base, entries)).itemsize
+        return int(2 * s * (n_rules + n_rows + 2) + (2 * s + 8) * entries)
+
+
+def _split_children(
+    symbols: np.ndarray,
+    row_ends: np.ndarray,
+    nt_base: int,
+    n_cols: int,
+    rank: np.ndarray,
+    idx: type,
+) -> tuple[_Csr, _Csr]:
+    """Split a symbol string into the terminal and the nonterminal CSR
+    structure; row ``r`` ends just before position ``row_ends[r]``."""
+    is_nt = symbols >= nt_base
+    term_pos = np.flatnonzero(~is_nt & (symbols != ROW_SEPARATOR))
+    nt_pos = np.flatnonzero(is_nt)
+    value_idx, col = np.divmod((symbols[term_pos] - 1).astype(idx), idx(n_cols))
+    term = _Csr(_indptr(term_pos, row_ends, idx), col, value_idx)
+    nonterm = _Csr(
+        _indptr(nt_pos, row_ends, idx),
+        rank[symbols[nt_pos] - nt_base],
+        np.ones(nt_pos.size, dtype=np.float64),
+    )
+    return term, nonterm
+
+
+def _indptr(pos: np.ndarray, row_ends: np.ndarray, idx: type) -> np.ndarray:
+    """Row pointers of sorted entry positions ``pos``."""
+    indptr = np.zeros(row_ends.size + 1, dtype=idx)
+    indptr[1:] = np.searchsorted(pos, row_ends)
+    return indptr
+
+
+def _csr_acc(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    n_cols: int,
+    x: np.ndarray,
+    y: np.ndarray,
+) -> None:
+    """``y += A x`` for the CSR rows of ``A`` that ``indptr`` spans."""
+    if y.ndim == 1:
+        _sparsetools.csr_matvec(y.shape[0], n_cols, indptr, indices, data, x, y)
+    else:
+        _sparsetools.csr_matvecs(
+            y.shape[0], n_cols, y.shape[1], indptr, indices, data, x, y
         )
-        for lvl in self.levels:
-            total += (
-                lvl.rule_idx.nbytes
-                + lvl.a_term_sel.nbytes
-                + lvl.a_term_l.nbytes
-                + lvl.a_term_j.nbytes
-                + lvl.a_nt_sel.nbytes
-                + lvl.a_nt_ref.nbytes
-                + lvl.b_term_sel.nbytes
-                + lvl.b_term_l.nbytes
-                + lvl.b_term_j.nbytes
-                + lvl.b_nt_sel.nbytes
-                + lvl.b_nt_ref.nbytes
-            )
-        return int(total)
+
+
+def _csc_acc(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+) -> None:
+    """``y += Aᵀ x``, reading the CSR arrays of ``A`` as CSC arrays of ``Aᵀ``."""
+    n_cols = indptr.size - 1
+    if y.ndim == 1:
+        _sparsetools.csc_matvec(y.shape[0], n_cols, indptr, indices, data, x, y)
+    else:
+        _sparsetools.csc_matvecs(
+            y.shape[0], n_cols, y.shape[1], indptr, indices, data, x, y
+        )
 
 
 class PlanCache:
@@ -225,7 +319,7 @@ class PlanCache:
 
 
 class MvmEngine:
-    """Executable multiplication schedule for one grammar-compressed block.
+    """Executable multiplication chain for one grammar-compressed block.
 
     Parameters
     ----------
@@ -239,10 +333,12 @@ class MvmEngine:
 
     Notes
     -----
-    The engine is stateless with respect to the vectors: ``right`` and
-    ``left`` can be called any number of times with different operands.
-    The auxiliary array ``W`` of the theorems is allocated per call
-    (``8·q`` bytes, matching the ``O(|R|)`` space bound).
+    The engine is stateless with respect to the operands: ``right`` and
+    ``left`` can be called any number of times with different vectors
+    or panels.  The first call with a given value array ``V`` fills the
+    data of ``T``/``Ct`` with ``V[ℓ]``; later calls with the same array
+    reuse it.  The auxiliary array ``W`` of the theorems is allocated
+    per call (``8·q·k`` bytes, matching the ``O(|R|)`` space bound).
     """
 
     def __init__(
@@ -258,15 +354,7 @@ class MvmEngine:
                 )
             plan = MvmPlan.from_grammar(grammar, n_cols)
         self._plan = plan
-        self._n_cols = plan.n_cols
-        self._q = plan.n_rules
-        self._n_rows = plan.n_rows
-        self._levels = plan.levels
-        self._c_rows_term = plan.c_rows_term
-        self._c_term_l = plan.c_term_l
-        self._c_term_j = plan.c_term_j
-        self._c_rows_nt = plan.c_rows_nt
-        self._c_nt_ref = plan.c_nt_ref
+        self._filled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_plan(cls, plan: MvmPlan) -> MvmEngine:
@@ -275,46 +363,44 @@ class MvmEngine:
 
     @property
     def plan(self) -> MvmPlan:
-        """The immutable schedule this engine executes."""
+        """The immutable operator chain this engine executes."""
         return self._plan
 
     @property
     def n_rows(self) -> int:
         """Number of matrix rows covered by this engine's block."""
-        return self._n_rows
+        return self._plan.n_rows
 
     @property
     def n_rules(self) -> int:
         """Number of grammar rules ``q``."""
-        return self._q
+        return self._plan.n_rules
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the plan plus the filled ``V[ℓ]`` data, once filled."""
+        filled = self._filled
+        extra = 0 if filled is None else filled[1].nbytes + filled[2].nbytes
+        return self._plan.nbytes + int(extra)
+
+    def _values_data(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``V[ℓ]`` for the entries of ``T`` and ``Ct`` (filled once per ``V``)."""
+        filled = self._filled
+        if filled is None or filled[0] is not values:
+            v = np.asarray(values, dtype=np.float64)
+            filled = (values, v[self._plan.t.data], v[self._plan.ct.data])
+            self._filled = filled
+        return filled[1], filled[2]
+
+    # -- entry points ----------------------------------------------------------------
 
     def right(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Compute ``y = M x`` for this block (Theorem 3.4)."""
-        if x.size != self._n_cols:
+        if x.size != self._plan.n_cols:
             raise MatrixFormatError(
-                f"x has length {x.size}, expected {self._n_cols}"
+                f"x has length {x.size}, expected {self._plan.n_cols}"
             )
-        w = np.empty(self._q, dtype=np.float64)
-        for lvl in self._levels:
-            val_a = np.empty(lvl.rule_idx.size, dtype=np.float64)
-            val_a[lvl.a_term_sel] = values[lvl.a_term_l] * x[lvl.a_term_j]
-            val_a[lvl.a_nt_sel] = w[lvl.a_nt_ref]
-            val_b = np.empty(lvl.rule_idx.size, dtype=np.float64)
-            val_b[lvl.b_term_sel] = values[lvl.b_term_l] * x[lvl.b_term_j]
-            val_b[lvl.b_nt_sel] = w[lvl.b_nt_ref]
-            w[lvl.rule_idx] = val_a + val_b
-        y = np.zeros(self._n_rows, dtype=np.float64)
-        if self._c_term_j.size:
-            y += np.bincount(
-                self._c_rows_term,
-                weights=values[self._c_term_l] * x[self._c_term_j],
-                minlength=self._n_rows,
-            )
-        if self._c_nt_ref.size:
-            y += np.bincount(
-                self._c_rows_nt, weights=w[self._c_nt_ref], minlength=self._n_rows
-            )
-        return y
+        return self._right(values, x.ravel(), None)
 
     def right_multi(
         self,
@@ -325,217 +411,89 @@ class MvmEngine:
         """Compute ``Y = M X`` for a block of vectors (Theorem 3.4).
 
         ``x_block`` has shape ``(m, k)``; the result has shape
-        ``(n_rows, k)``.  The auxiliary array ``W`` becomes ``(q, k)``
-        — still ``O(|R|)`` words per vector, evaluated level by level
-        exactly like :meth:`right`.
-
-        ``out``, when given, receives the result in place (it is
-        zeroed first).  Callers that concatenate per-block results —
-        the serving executor writes each block into a disjoint row
-        slice of one preallocated panel — avoid a copy per block.
+        ``(n_rows, k)``.  ``out``, when given, receives the result in
+        place — the serving executor writes each block into a disjoint
+        row slice of one preallocated panel, avoiding a copy per block.
         """
-        if x_block.ndim != 2 or x_block.shape[0] != self._n_cols:
+        if x_block.ndim != 2 or x_block.shape[0] != self._plan.n_cols:
             raise MatrixFormatError(
                 f"x block has shape {x_block.shape}, expected "
-                f"({self._n_cols}, k)"
+                f"({self._plan.n_cols}, k)"
             )
-        k = x_block.shape[1]
-        w = np.empty((self._q, k), dtype=np.float64)
-        for lvl in self._levels:
-            val_a = np.empty((lvl.rule_idx.size, k), dtype=np.float64)
-            val_a[lvl.a_term_sel] = (
-                values[lvl.a_term_l, None] * x_block[lvl.a_term_j]
-            )
-            val_a[lvl.a_nt_sel] = w[lvl.a_nt_ref]
-            val_b = np.empty((lvl.rule_idx.size, k), dtype=np.float64)
-            val_b[lvl.b_term_sel] = (
-                values[lvl.b_term_l, None] * x_block[lvl.b_term_j]
-            )
-            val_b[lvl.b_nt_sel] = w[lvl.b_nt_ref]
-            w[lvl.rule_idx] = val_a + val_b
-        if out is None:
-            out = np.zeros((self._n_rows, k), dtype=np.float64)
-        else:
-            if out.shape != (self._n_rows, k):
-                raise MatrixFormatError(
-                    f"out has shape {out.shape}, expected "
-                    f"({self._n_rows}, {k})"
-                )
-            out[:] = 0.0
-        # Occurrence rows are non-decreasing (positions scan C left to
-        # right), so the scatter collapses to segment sums.
-        if self._c_term_j.size:
-            group_scatter_add(
-                out,
-                self._c_rows_term,
-                values[self._c_term_l, None] * x_block[self._c_term_j],
-            )
-        if self._c_nt_ref.size:
-            group_scatter_add(out, self._c_rows_nt, w[self._c_nt_ref])
-        return out
+        return self._right(values, x_block, out)
 
     def left(self, values: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Compute ``xᵗ = yᵗ M`` for this block (Theorem 3.10)."""
-        if y.size != self._n_rows:
+        if y.size != self._plan.n_rows:
             raise MatrixFormatError(
-                f"y has length {y.size}, expected {self._n_rows}"
+                f"y has length {y.size}, expected {self._plan.n_rows}"
             )
-        m = self._n_cols
-        # Seed: occurrences in the final string C.
-        x = np.zeros(m, dtype=np.float64)
-        if self._c_term_j.size:
-            x += np.bincount(
-                self._c_term_j,
-                weights=values[self._c_term_l] * y[self._c_rows_term],
-                minlength=m,
-            )
-        if self._q == 0:
-            return x
-        w = np.zeros(self._q, dtype=np.float64)
-        if self._c_nt_ref.size:
-            w += np.bincount(
-                self._c_nt_ref, weights=y[self._c_rows_nt], minlength=self._q
-            )
-        # Top-down propagation: by the time a level is processed, all
-        # contributions from C and from strictly higher levels have
-        # landed in w (rule references always point to lower levels).
-        for lvl in reversed(self._levels):
-            w_lvl = w[lvl.rule_idx]
-            if lvl.a_nt_ref.size:
-                w += np.bincount(
-                    lvl.a_nt_ref, weights=w_lvl[lvl.a_nt_sel], minlength=self._q
-                )
-            if lvl.b_nt_ref.size:
-                w += np.bincount(
-                    lvl.b_nt_ref, weights=w_lvl[lvl.b_nt_sel], minlength=self._q
-                )
-            if lvl.a_term_j.size:
-                x += np.bincount(
-                    lvl.a_term_j,
-                    weights=values[lvl.a_term_l] * w_lvl[lvl.a_term_sel],
-                    minlength=m,
-                )
-            if lvl.b_term_j.size:
-                x += np.bincount(
-                    lvl.b_term_j,
-                    weights=values[lvl.b_term_l] * w_lvl[lvl.b_term_sel],
-                    minlength=m,
-                )
-        return x
+        return self._left(values, y.ravel(), None)
 
-
-    def left_multi(self, values: np.ndarray, y_block: np.ndarray) -> np.ndarray:
+    def left_multi(
+        self,
+        values: np.ndarray,
+        y_block: np.ndarray,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Compute ``Xᵗ = Yᵗ M`` for a block of vectors (Theorem 3.10).
 
         ``y_block`` has shape ``(n_rows, k)``; the result has shape
         ``(m, k)`` where column ``c`` equals ``y_block[:, c]ᵗ M``.
+        ``out`` works as in :meth:`right_multi`.
         """
-        if y_block.ndim != 2 or y_block.shape[0] != self._n_rows:
+        if y_block.ndim != 2 or y_block.shape[0] != self._plan.n_rows:
             raise MatrixFormatError(
                 f"y block has shape {y_block.shape}, expected "
-                f"({self._n_rows}, k)"
+                f"({self._plan.n_rows}, k)"
             )
-        k = y_block.shape[1]
-        m = self._n_cols
-        x = np.zeros((m, k), dtype=np.float64)
-        if self._c_term_j.size:
-            np.add.at(
-                x,
-                self._c_term_j,
-                values[self._c_term_l, None] * y_block[self._c_rows_term],
-            )
-        if self._q == 0:
-            return x
-        w = np.zeros((self._q, k), dtype=np.float64)
-        if self._c_nt_ref.size:
-            np.add.at(w, self._c_nt_ref, y_block[self._c_rows_nt])
-        for lvl in reversed(self._levels):
-            w_lvl = w[lvl.rule_idx]
-            if lvl.a_nt_ref.size:
-                np.add.at(w, lvl.a_nt_ref, w_lvl[lvl.a_nt_sel])
-            if lvl.b_nt_ref.size:
-                np.add.at(w, lvl.b_nt_ref, w_lvl[lvl.b_nt_sel])
-            if lvl.a_term_j.size:
-                np.add.at(
-                    x,
-                    lvl.a_term_j,
-                    values[lvl.a_term_l, None] * w_lvl[lvl.a_term_sel],
-                )
-            if lvl.b_term_j.size:
-                np.add.at(
-                    x,
-                    lvl.b_term_j,
-                    values[lvl.b_term_l, None] * w_lvl[lvl.b_term_sel],
-                )
-        return x
+        return self._left(values, y_block, out)
+
+    # -- the chain -------------------------------------------------------------------
+
+    def _right(
+        self, values: np.ndarray, x: np.ndarray, out: np.ndarray | None
+    ) -> np.ndarray:
+        plan = self._plan
+        t_data, ct_data = self._values_data(values)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        tail = x.shape[1:]
+        out = _output(out, (plan.n_rows, *tail))
+        w = np.zeros((plan.n_rules, *tail))
+        t, nt, bounds = plan.t, plan.n, plan.level_bounds
+        _csr_acc(t.indptr, t.indices, t_data, plan.n_cols, x, w)
+        # Level 1 has no nonterminal children; level l reads levels < l.
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            _csr_acc(nt.indptr[lo : hi + 1], nt.indices, nt.data, lo, w[:lo], w[lo:hi])
+        _csr_acc(plan.ct.indptr, plan.ct.indices, ct_data, plan.n_cols, x, out)
+        _csr_acc(plan.cn.indptr, plan.cn.indices, plan.cn.data, plan.n_rules, w, out)
+        return out
+
+    def _left(
+        self, values: np.ndarray, y: np.ndarray, out: np.ndarray | None
+    ) -> np.ndarray:
+        plan = self._plan
+        t_data, ct_data = self._values_data(values)
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        tail = y.shape[1:]
+        out = _output(out, (plan.n_cols, *tail))
+        w = np.zeros((plan.n_rules, *tail))
+        t, nt, bounds = plan.t, plan.n, plan.level_bounds
+        _csc_acc(plan.cn.indptr, plan.cn.indices, plan.cn.data, y, w)
+        # Top-down: by the time level l is read, C and every higher
+        # level have landed in its block of w.
+        for lo, hi in zip(reversed(bounds[1:-1]), reversed(bounds[2:])):
+            _csc_acc(nt.indptr[lo : hi + 1], nt.indices, nt.data, w[lo:hi], w[:lo])
+        _csc_acc(plan.ct.indptr, plan.ct.indices, ct_data, y, out)
+        _csc_acc(t.indptr, t.indices, t_data, w, out)
+        return out
 
 
-def _split_side(
-    side: np.ndarray, nt_base: int, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split one rule side into terminal (ℓ, j) parts and rule references."""
-    is_term = side < nt_base
-    term_sel = np.flatnonzero(is_term)
-    nt_sel = np.flatnonzero(~is_term)
-    pair = side[term_sel] - 1
-    return (
-        term_sel,
-        pair // n_cols,
-        pair % n_cols,
-        nt_sel,
-        side[nt_sel] - nt_base,
-    )
-
-
-def _build_level_slices(grammar: Grammar, n_cols: int) -> list[_LevelSlice]:
-    """Group rules by derivation level and precompute gather indices."""
-    q = grammar.n_rules
-    if q == 0:
-        return []
-    levels = grammar.rule_levels()
-    order = np.argsort(levels, kind="stable")
-    sorted_levels = levels[order]
-    boundaries = np.searchsorted(
-        sorted_levels, np.arange(1, int(sorted_levels[-1]) + 1), side="right"
-    )
-    slices = []
-    lo = 0
-    a_all = grammar.rules[:, 0]
-    b_all = grammar.rules[:, 1]
-    for hi in boundaries:
-        if hi == lo:
-            continue
-        rule_idx = order[lo:hi]
-        a = a_all[rule_idx]
-        b = b_all[rule_idx]
-        a_parts = _split_side(a, grammar.nt_base, n_cols)
-        b_parts = _split_side(b, grammar.nt_base, n_cols)
-        slices.append(_LevelSlice(rule_idx, *a_parts, *b_parts))
-        lo = hi
-    return slices
-
-
-def _decompose_final(
-    grammar: Grammar, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split the final string into terminal and nonterminal occurrences.
-
-    Returns ``(rows_term, term_l, term_j, rows_nt, nt_ref)`` where the
-    ``rows_*`` arrays give the matrix row of each occurrence (the count
-    of ``$`` separators before it).
-    """
-    c = grammar.final
-    is_sep = c == ROW_SEPARATOR
-    row_of_pos = np.cumsum(is_sep) - is_sep
-    is_term = (~is_sep) & (c < grammar.nt_base)
-    is_nt = c >= grammar.nt_base
-    term_pos = np.flatnonzero(is_term)
-    nt_pos = np.flatnonzero(is_nt)
-    pair = c[term_pos] - 1
-    return (
-        row_of_pos[term_pos],
-        pair // n_cols,
-        pair % n_cols,
-        row_of_pos[nt_pos],
-        c[nt_pos] - grammar.nt_base,
-    )
+def _output(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed result array: ``out`` itself when given (shape-checked)."""
+    if out is None:
+        return np.zeros(shape)
+    if out.shape != shape:
+        raise MatrixFormatError(f"out has shape {out.shape}, expected {shape}")
+    out[...] = 0.0
+    return out

@@ -67,6 +67,11 @@ def tsp_order(
         improved |= _or_opt_sweep(csm, order)
         if not improved:
             break
+    # The search from the greedy start can stop at a local optimum
+    # below the identity order; keeping the better of the two is O(m).
+    identity = np.arange(m, dtype=np.int64)
+    if tour_gain(csm, identity) > tour_gain(csm, order):
+        return identity
     return order
 
 

@@ -3,8 +3,8 @@
 The serving engine's headline throughput win: a request carrying ``k``
 vectors is answered with **one** panel multiplication ``Y = M X``
 instead of ``k`` single MVMs.  For the grammar-compressed variants this
-amortises the per-call costs across the whole panel — the level
-schedule is walked once (``re_32``), and the ``re_iv`` unpack /
+amortises the per-call costs across the whole panel — the operator
+chain runs once (``re_32``), and the ``re_iv`` unpack /
 ``re_ans`` entropy decode of ``C`` is paid once instead of ``k`` times
 (see :meth:`repro.core.multiply.MvmEngine.right_multi`).
 

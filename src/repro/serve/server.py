@@ -522,6 +522,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a reply is one write, so nothing is gained by holding
+    #: its last segment back until the previous one is acknowledged.
+    disable_nagle_algorithm = True
 
     #: Route labels the HTTP-response counter may use; anything else is
     #: folded into ``other`` so a path-scanning client cannot inflate
@@ -557,22 +560,32 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(
         self, status: int, payload: dict, retry_after: float | None = None
     ) -> None:
-        body = json.dumps(payload).encode()
-        self._send_common_headers(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        headers = {"Content-Type": "application/json"}
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(0, math.ceil(retry_after))))
-        self.end_headers()
-        self.wfile.write(body)
+            headers["Retry-After"] = str(max(0, math.ceil(retry_after)))
+        self._send(status, json.dumps(payload).encode(), headers)
 
     def _respond_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
+        self._send(status, text.encode("utf-8"), {"Content-Type": content_type})
+
+    def _send(self, status: int, body: bytes, headers: dict[str, str]) -> None:
+        """Send status line, headers and body in **one** write.
+
+        ``end_headers`` would flush the headers on their own.  Under
+        Nagle's algorithm the body behind them then waits for the
+        client's delayed ACK of the headers: ~40 ms per keep-alive reply.
+        """
         self._send_common_headers(status)
-        self.send_header("Content-Type", content_type)
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        buffered = getattr(self, "_headers_buffer", None)
+        if buffered is None:  # HTTP/0.9: no status line, no headers
+            self.wfile.write(body)
+            return
+        buffered += (b"\r\n", body)
+        self._headers_buffer = []
+        self.wfile.write(b"".join(buffered))
 
     def _run_traced(self, fn, name: str) -> dict:
         """Run one endpoint under a fresh request trace.

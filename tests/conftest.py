@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def paper_matrix() -> np.ndarray:
     """The 6×5 worked example of Figure 1 in the paper."""

@@ -1,4 +1,4 @@
-"""Tests for the level-scheduled MVM engine (Theorems 3.4 / 3.10)."""
+"""Tests for the grammar MVM engine (Theorems 3.4 / 3.10)."""
 
 import numpy as np
 import pytest

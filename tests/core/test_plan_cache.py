@@ -159,7 +159,8 @@ class TestPlanRetention:
         assert m.resident_overhead_bytes() == 0
         m.enable_plan_retention(True)
         charged = m.resident_overhead_bytes()
-        assert charged == 8 * (m.c_length + 6 * m.n_rules)
+        m.right_multiply(np.ones(dense.shape[1]))
+        assert charged >= m._get_engine().nbytes > 0
         m.enable_plan_retention(False)
         assert m.resident_overhead_bytes() == 0
 

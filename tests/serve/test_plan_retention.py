@@ -39,7 +39,7 @@ class TestRegistryPlanRetention:
         assert matrix.resident_overhead_bytes() == 0
 
     def test_budget_charges_retained_plan(self, iv_store):
-        root, _ = iv_store
+        root, dense = iv_store
         with_plans = MatrixRegistry(root=root)
         without = MatrixRegistry(root=root, retain_plans=False)
         m_with = with_plans.get("iv")
@@ -49,8 +49,9 @@ class TestRegistryPlanRetention:
         assert (
             with_plans.resident_bytes == without.resident_bytes + overhead
         )
-        # The charge equals the documented estimate formula.
-        assert overhead == 8 * (m_with.c_length + 6 * m_with.n_rules)
+        # The charge is a build-free bound on the engine it retains.
+        m_with.right_multiply(np.ones(dense.shape[1]))
+        assert overhead >= m_with._get_engine().nbytes
 
     def test_resident_estimate_includes_plan(self, iv_store):
         root, _ = iv_store

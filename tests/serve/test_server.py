@@ -11,7 +11,7 @@ from repro.core.blocked import BlockedMatrix
 from repro.core.gcm import GrammarCompressedMatrix
 from repro.io.serialize import save_matrix
 from repro.serve.registry import MatrixRegistry
-from repro.serve.server import MatrixServer
+from repro.serve.server import MatrixServer, _Handler
 from tests.conftest import make_structured
 
 
@@ -32,6 +32,14 @@ def _post(url: str, payload: dict):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _get_error(url: str):
+    try:
+        urllib.request.urlopen(url, timeout=10)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+    raise AssertionError(f"{url} answered 2xx")
 
 
 @pytest.fixture
@@ -157,6 +165,58 @@ class TestMultiply:
         assert (
             _post(url, {"matrix": "small", "vectors": ["a", "b"]})[0] == 400
         )
+
+
+class TestWire:
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """Every ``wfile.write`` payload of the server's handlers."""
+        recorded: list[bytes] = []
+
+        class Recording:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def write(self, data):
+                recorded.append(bytes(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = Recording(handler.wfile)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        return recorded
+
+    @pytest.mark.parametrize("kind", ["json", "error", "text"])
+    def test_one_reply_is_one_write(self, serving, writes, kind):
+        server, matrices = serving
+        if kind == "json":
+            x = np.ones(matrices["small"].shape[1])
+            status, body = _post(
+                f"{server.url}/multiply", {"matrix": "small", "vectors": x.tolist()}
+            )
+            expected = json.dumps(body).encode()
+        elif kind == "error":
+            status, body = _get_error(f"{server.url}/nope")
+            expected = json.dumps(body).encode()
+        else:
+            with urllib.request.urlopen(f"{server.url}/metrics", timeout=10) as resp:
+                status, expected = resp.status, resp.read()
+        assert len(writes) == 1
+        (reply,) = writes
+        head, _, body_bytes = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert f"Content-Length: {len(body_bytes)}".encode() in head
+        assert body_bytes == expected
+
+    def test_nagle_disabled(self):
+        assert _Handler.disable_nagle_algorithm is True
 
 
 class TestStatsAndEviction:
