@@ -20,6 +20,11 @@ root):
   *no-cache* (plan retention off — the pre-retention serving cost,
   paid on every request); plus the warm ``k = 64`` panel latency for
   ``right`` and ``left``;
+- **rans** — the ``re_ans`` cold path's storage decode alone:
+  ``ans_decompress`` of a 1500x29 ``airline78`` grammar's final string
+  ``C`` (the shape of one serving-benchmark ``cold-rotate`` shard, long
+  enough to take the interleaved-lane layout), plus its encode time,
+  lane count and blob size;
 - **obs_overhead** — the tracing-off cost of the ``repro.obs``
   instrumentation on the warm MVM path: the same warm multiply bare
   vs wrapped in the serve layer's ``span("multiply.kernel", ...)``
@@ -33,9 +38,10 @@ Run as a script::
     PYTHONPATH=src python benchmarks/bench_hotpaths.py --quick    # CI smoke
 
 ``--check-baseline PATH`` compares the measured warm latencies (k = 1,
-and the k = 64 panels) against a previously committed run and exits
-non-zero when any regresses by more than ``--tolerance`` (default 2x)
-— the CI perf-smoke gate.
+and the k = 64 panels), the cold-start timings and the ``rans`` decode
+against a previously committed run and exits non-zero when any
+regresses by more than ``--tolerance`` (default 2x) — the CI
+perf-smoke gate.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from repro.core.csrv import CSRVMatrix
 from repro.core.gcm import VARIANTS, GrammarCompressedMatrix, plan_cache
 from repro.core.repair import repair_compress
 from repro.datasets import get_dataset
+from repro.encoders.rans import ans_compress, ans_decompress, lane_count
 
 #: Full-mode profiles: (dataset, synthetic rows).  ``mnist2m`` at 5000
 #: rows is the largest (~1M CSRV symbols — the scale the exact RePair
@@ -82,6 +89,9 @@ GATED_MULTIPLY_KEYS = (
 #: keeps the same shape at CI-smoke size.
 COLD_START_FULL = (24, 1000, 1500)
 COLD_START_QUICK = (6, 150, 200)
+
+#: ``rans`` row: (dataset, synthetic rows) — one ``cold-rotate`` shard.
+RANS_PROFILE = ("airline78", 1500)
 
 
 def _time_once(fn) -> tuple[float, object]:
@@ -232,6 +242,25 @@ def bench_cold_start(n_matrices: int, rows: int, cols: int) -> dict:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def bench_rans(name: str, rows: int, reps: int) -> dict:
+    """Encode and decode time of one grammar's final string ``C``."""
+    dense = np.asarray(get_dataset(name, n_rows=rows).matrix)
+    c = repair_compress(CSRVMatrix.from_dense(dense).s).final
+    encode = median(_time_once(lambda: ans_compress(c))[0] for _ in range(3))
+    blob = ans_compress(c)
+    decode = median(_time_once(lambda: ans_decompress(blob))[0] for _ in range(reps))
+    return {
+        "dataset": name,
+        "rows": int(dense.shape[0]),
+        "c_length": int(c.size),
+        "lanes": lane_count(int(c.size)),
+        "blob_bytes": len(blob),
+        "encode_seconds": encode,
+        "decode_seconds": decode,
+        "symbols_per_s": c.size / decode,
+    }
+
+
 def bench_obs_overhead(grammar, values, shape, iters: int) -> dict:
     """Tracing-off instrumentation cost on the warm serve MVM path.
 
@@ -274,7 +303,7 @@ def bench_obs_overhead(grammar, values, shape, iters: int) -> dict:
 
 
 def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
-        obs_iters: int = 0) -> dict:
+        obs_iters: int = 0, rans_reps: int = 0) -> dict:
     report = {
         "schema": SCHEMA,
         "command": " ".join(sys.argv),
@@ -331,6 +360,16 @@ def run(profiles, warm_iters: int, cold_reps: int, cold_start=None,
             f"{1e3 * cs['copy_load_seconds']:.2f}ms "
             f"(x{cs['mmap_load_speedup']:.0f})"
         )
+    if rans_reps:
+        rn = bench_rans(*RANS_PROFILE, rans_reps)
+        report["rans"] = rn
+        print(
+            f"rans ({rn['dataset']} {rn['rows']} rows, |C|={rn['c_length']:,}, "
+            f"{rn['lanes']} lanes, {rn['blob_bytes']:,} B): decode "
+            f"{1e3 * rn['decode_seconds']:.2f}ms "
+            f"({rn['symbols_per_s'] / 1e6:.1f}M symbols/s), encode "
+            f"{1e3 * rn['encode_seconds']:.1f}ms"
+        )
     if obs_iters and first_grammar is not None:
         obs = bench_obs_overhead(*first_grammar, obs_iters)
         report["obs_overhead"] = obs
@@ -353,6 +392,13 @@ COLD_START_GATED_KEYS = (
 )
 
 COLD_START_FLOOR_SECONDS = 0.05
+
+#: ``rans`` keys gated by ``--check-baseline``, with the same kind of
+#: absolute floor: a few ms absorbs runner noise, while falling back to
+#: the per-symbol loop (about 3x the lane decode on this profile) still
+#: fails.
+RANS_GATED_KEYS = ("decode_seconds",)
+RANS_FLOOR_SECONDS = 0.005
 
 #: The obs_overhead gate is self-relative (instrumented vs bare in the
 #: *same* run), so it needs no baseline entry.  The absolute floor on
@@ -397,6 +443,17 @@ def check_baseline(report: dict, baseline_path: Path, tolerance: float) -> int:
                     f"max({tolerance:g}x baseline "
                     f"{1e3 * base_cold[key]:.1f}ms, "
                     f"{1e3 * COLD_START_FLOOR_SECONDS:.0f}ms floor)"
+                )
+    base_rans = baseline.get("rans")
+    cur_rans = report.get("rans")
+    if base_rans and cur_rans:
+        for key in RANS_GATED_KEYS:
+            limit = max(tolerance * base_rans[key], RANS_FLOOR_SECONDS)
+            if cur_rans[key] > limit:
+                failures.append(
+                    f"rans/{key}: {1e3 * cur_rans[key]:.2f}ms > "
+                    f"max({tolerance:g}x baseline {1e3 * base_rans[key]:.2f}ms, "
+                    f"{1e3 * RANS_FLOOR_SECONDS:.0f}ms floor)"
                 )
     obs = report.get("obs_overhead")
     if obs is not None:
@@ -443,13 +500,13 @@ def main(argv=None) -> int:
 
     if args.quick:
         profiles, warm_iters, cold_reps = QUICK_PROFILES, 9, 3
-        cold_start, obs_iters = COLD_START_QUICK, 200
+        cold_start, obs_iters, rans_reps = COLD_START_QUICK, 200, 15
     else:
         profiles, warm_iters, cold_reps = FULL_PROFILES, 21, 3
-        cold_start, obs_iters = COLD_START_FULL, 600
+        cold_start, obs_iters, rans_reps = COLD_START_FULL, 600, 31
     report = run(
         profiles, warm_iters, cold_reps,
-        cold_start=cold_start, obs_iters=obs_iters,
+        cold_start=cold_start, obs_iters=obs_iters, rans_reps=rans_reps,
     )
 
     output = args.output

@@ -15,8 +15,10 @@ output ``(C, R, V)``:
 ``re_ans``
     ``R`` bit-packed as above; ``C`` entropy-coded with the
     large-alphabet rANS coder (:mod:`repro.encoders.rans`).  Every
-    multiplication decodes ``C`` symbol by symbol first — the paper's
-    explanation for ``re_ans`` being the smallest but slowest variant.
+    multiplication without a retained plan decodes ``C`` first — the
+    paper's explanation for ``re_ans`` being the smallest but slowest
+    variant (here in interleaved lanes, one numpy step per ``L``
+    symbols, for all but short ``C``).
 
 All variants store ``V`` as raw 8-byte doubles, as in the paper.
 """
@@ -221,7 +223,7 @@ class GrammarCompressedMatrix(MatrixFormat):
         """Materialise the logical grammar ``(C, R)`` from storage.
 
         For ``re_32`` this is a cheap cast; for ``re_iv`` a vectorised
-        unpack; for ``re_ans`` a sequential ANS decode of ``C`` — the
+        unpack; for ``re_ans`` an ANS decode of ``C`` — the
         per-multiplication cost structure of the paper's variants.
         """
         if self._variant == "re_32":

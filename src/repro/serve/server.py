@@ -578,6 +578,8 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_common_headers(status)
         for name, value in headers.items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(body)))
         buffered = getattr(self, "_headers_buffer", None)
         if buffered is None:  # HTTP/0.9: no status line, no headers
@@ -678,7 +680,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(404, {"error": f"unknown path {self.path!r}"})
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # Where the body ends is unknown, so the connection cannot
+            # carry another request: answer, then close it.
+            self.close_connection = True
+            raise _RequestError(400, f"invalid Content-Length {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw or b"{}")

@@ -1,5 +1,6 @@
 """End-to-end HTTP tests for the serving engine."""
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -165,6 +166,29 @@ class TestMultiply:
         assert (
             _post(url, {"matrix": "small", "vectors": ["a", "b"]})[0] == 400
         )
+
+
+    @pytest.mark.parametrize("path", ["/multiply", "/jobs"])
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "0x10"])
+    def test_bad_content_length_is_typed_400(self, serving, path, length):
+        """A Content-Length that is not a non-negative decimal answers a
+        typed 400 (not a 500) and the connection closes: where the body
+        ends is unknown, so it cannot carry another request."""
+        server, _ = serving
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(b'{"matrix": "small"}')
+            resp = conn.getresponse()
+            status, body = resp.status, json.loads(resp.read())
+            assert resp.will_close
+        finally:
+            conn.close()
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert _get(f"{server.url}/healthz")[0] == 200
 
 
 class TestWire:
